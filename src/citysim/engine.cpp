@@ -77,9 +77,7 @@ struct CityEngine::Worker {
   std::uint64_t adr_changes = 0;
 };
 
-namespace {
-
-EngineOptions normalize(EngineOptions o) {
+EngineOptions effective_options(EngineOptions o) {
   o.n_devices = std::max<std::size_t>(1, o.n_devices);
   o.n_channels = std::max<std::size_t>(1, o.n_channels);
   o.city.n_gateways =
@@ -109,10 +107,8 @@ EngineOptions normalize(EngineOptions o) {
   return o;
 }
 
-}  // namespace
-
 CityEngine::CityEngine(const EngineOptions& opt, const OutcomeTable& table)
-    : opt_(normalize(opt)),
+    : opt_(effective_options(opt)),
       table_(table),
       layout_(opt_.city, opt_.seed),
       server_(std::make_unique<net::NetServer>(opt_.net)) {
@@ -394,6 +390,13 @@ void CityEngine::kill_and_restore() {
   server_.reset();
   if (opt_.promote_standby) {
     server_ = opt_.promote_standby();
+    // A standby configured from the raw options would carry the narrower
+    // dedup window and let late copies die as replays only under skew;
+    // refuse it outright instead.
+    if (server_->config().dedup.window_s < opt_.net.dedup.window_s)
+      throw std::invalid_argument(
+          "citysim: promoted standby's dedup window is narrower than the "
+          "engine's; build it from effective_options(opt).net");
   } else {
     server_ = std::make_unique<net::NetServer>(opt_.net);
   }

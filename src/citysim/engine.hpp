@@ -164,6 +164,14 @@ struct EngineReport {
 
 std::string format_report(const EngineReport& r);
 
+/// The options a CityEngine actually runs with: counts floored, gateways
+/// clamped to kMaxGateways, keep_feed off, the dedup window widened to
+/// cover the workers' epoch skew (epoch_s + 1) and per-record journal
+/// flushing under the kill drill. Anything built to stand in for the
+/// engine's server (a promote_standby hot standby) must use this `.net`.
+/// Throws std::invalid_argument when a drill lacks net.persist.dir.
+EngineOptions effective_options(EngineOptions opt);
+
 class CityEngine {
  public:
   CityEngine(const EngineOptions& opt, const OutcomeTable& table);

@@ -12,7 +12,6 @@
 #include "dsp/fold_tone.hpp"
 #include "dsp/peaks.hpp"
 #include "dsp/workspace.hpp"
-#include "opt/coordinate_descent.hpp"
 #include "opt/golden.hpp"
 
 namespace choir::core {

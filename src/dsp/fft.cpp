@@ -29,17 +29,6 @@ FftPlan::FftPlan(std::size_t size)
       if (i & (std::size_t{1} << b)) rev |= std::size_t{1} << (log2n - 1 - b);
     bit_reverse_[i] = rev;
   }
-  // Radix-2 oracle twiddles for each stage, flattened: stage with
-  // half-length `len/2` needs len/2 factors. Total = size - 1 factors.
-  twiddles_.reserve(size);
-  inv_twiddles_.reserve(size);
-  for (std::size_t len = 2; len <= size; len <<= 1) {
-    const double ang = -kTwoPi / static_cast<double>(len);
-    for (std::size_t k = 0; k < len / 2; ++k) {
-      twiddles_.push_back(cis(ang * static_cast<double>(k)));
-      inv_twiddles_.push_back(cis(-ang * static_cast<double>(k)));
-    }
-  }
   // Merged-stage (radix-4) twiddles. A merged stage combines the radix-2
   // stages of half-lengths h and 2h into one pass; for butterfly lane k it
   // needs w1 = e^{-2pi i k/(4h)} (second stage) and w2 = w1^2 (first
@@ -92,33 +81,6 @@ FftPlan::FftPlan(std::size_t size)
   }
 }
 
-void FftPlan::transform_radix2(cvec& data, bool invert) const {
-  if (data.size() != size_)
-    throw std::invalid_argument("FftPlan: buffer size mismatch");
-  for (std::size_t i = 0; i < size_; ++i) {
-    const std::size_t j = bit_reverse_[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  const cvec& tw = invert ? inv_twiddles_ : twiddles_;
-  std::size_t tw_off = 0;
-  for (std::size_t len = 2; len <= size_; len <<= 1) {
-    const std::size_t half = len / 2;
-    for (std::size_t start = 0; start < size_; start += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const cplx u = data[start + k];
-        const cplx v = data[start + k + half] * tw[tw_off + k];
-        data[start + k] = u + v;
-        data[start + k + half] = u - v;
-      }
-    }
-    tw_off += half;
-  }
-  if (invert) {
-    const double inv_n = 1.0 / static_cast<double>(size_);
-    for (auto& x : data) x *= inv_n;
-  }
-}
-
 template <bool Invert>
 void FftPlan::transform_radix4(cplx* d) const {
   for (std::size_t i = 0; i < size_; ++i) {
@@ -168,13 +130,6 @@ void FftPlan::inverse(cvec& data) const {
 
 void FftPlan::forward_into(cplx* data) const { transform_radix4<false>(data); }
 void FftPlan::inverse_into(cplx* data) const { transform_radix4<true>(data); }
-
-void FftPlan::forward_radix2(cvec& data) const {
-  transform_radix2(data, false);
-}
-void FftPlan::inverse_radix2(cvec& data) const {
-  transform_radix2(data, true);
-}
 
 const FftPlan& plan_for(std::size_t size) {
   // Steady state takes no lock: each thread memoizes the plans it has

@@ -61,12 +61,7 @@ class FftPlan {
   /// scaled).
   void inverse_into(cplx* data) const;
 
-  /// Radix-2 reference kernels (correctness oracle for the radix-4 path).
-  void forward_radix2(cvec& data) const;
-  void inverse_radix2(cvec& data) const;
-
  private:
-  void transform_radix2(cvec& data, bool invert) const;
   template <bool Invert>
   void transform_radix4(cplx* data) const;
 
@@ -82,8 +77,6 @@ class FftPlan {
   /// ops_ so a plan structurally cannot mix kernel and layout.
   bool use_simd_layout_ = false;
   std::vector<std::size_t> bit_reverse_;
-  cvec twiddles_;  ///< radix-2 oracle twiddles per stage, flattened
-  cvec inv_twiddles_;
   /// Merged-stage twiddles: for each merged stage of quarter-length h,
   /// 2h entries [w1[k], w2[k]] with w1 = e^{-2pi i k/(4h)}, w2 = w1^2.
   cvec r4_twiddles_;

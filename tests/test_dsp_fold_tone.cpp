@@ -43,6 +43,12 @@ struct FoldCase {
   double cfo_bins;
 };
 
+// Without this gtest prints the raw bytes, padding included, and the
+// discovered test names change from build to build.
+void PrintTo(const FoldCase& c, std::ostream* os) {
+  *os << "d=" << c.d << " tau=" << c.tau << " cfo=" << c.cfo_bins;
+}
+
 class FoldToneTest : public ::testing::TestWithParam<FoldCase> {};
 
 TEST_P(FoldToneTest, TemplateCapturesFullEnergy) {

@@ -733,8 +733,14 @@ TEST(HaReplication, MinEpochFencesDeposedActiveStragglers) {
 
   active.ingest(frame_for(0x800, 1, 6.0f));
   sender.flush();
+  // Lag is already 0 before the record's datagram arrives; wait for the
+  // apply itself.
   ASSERT_TRUE(wait_for(
-      [&] { return standby.receiver()->lag_records() == 0; }, 5.0));
+      [&] {
+        return standby.receiver()->applied_records() >= 1 &&
+               standby.receiver()->lag_records() == 0;
+      },
+      5.0));
   const std::uint64_t applied = standby.receiver()->applied_records();
   const std::string before = image_bytes(standby.server());
 
@@ -1089,7 +1095,7 @@ TEST(HaCitySim, KillActivePromoteStandbyStaysExactlyOnce) {
   // The hot standby follows the engine's state dir from a poller thread
   // while the engine hammers the active from its workers.
   StandbyOptions so;
-  so.server = opt.net;
+  so.server = citysim::effective_options(opt).net;
   so.server.persist = {};
   so.server.keep_feed = false;
   so.follow_dir = dir;
@@ -1153,4 +1159,35 @@ TEST(HaCitySim, KillActivePromoteStandbyStaysExactlyOnce) {
   EXPECT_EQ(r.net_stats.dedup_upgraded, r.expect_upgraded);
   EXPECT_EQ(r.net_stats.replay_rejected, r.expect_replays);
   EXPECT_TRUE(r.accounting_exact) << citysim::format_report(r);
+}
+
+TEST(HaCitySim, PromotedStandbyWithNarrowerDedupWindowIsRefused) {
+  const std::string dir = scratch_dir("ha_citysim_narrow_standby");
+  const auto table = citysim::OutcomeTable::analytic();
+
+  citysim::EngineOptions opt;
+  opt.n_devices = 200;
+  opt.duration_s = 30.0;
+  opt.epoch_s = 15.0;
+  opt.seed = 5;
+  opt.net.persist.dir = dir;
+  opt.kill_restore_epoch = 1;
+  ASSERT_LT(opt.net.dedup.window_s,
+            citysim::effective_options(opt).net.dedup.window_s);
+
+  // A stand-in built from the raw options keeps the narrow window the
+  // engine widened for its own server: the engine must refuse it.
+  opt.promote_standby = [&]() {
+    NetServerConfig cfg = opt.net;
+    cfg.keep_feed = false;
+    return std::make_unique<NetServer>(cfg);
+  };
+  citysim::CityEngine engine(opt, table);
+  try {
+    engine.run();
+    FAIL() << "the engine ran on a standby with a narrower dedup window";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("dedup window"), std::string::npos)
+        << e.what();
+  }
 }

@@ -128,6 +128,11 @@ struct DemodCase {
   double snr_db;
 };
 
+// Keeps the padding bytes out of the discovered test names.
+void PrintTo(const DemodCase& c, std::ostream* os) {
+  *os << "sf=" << c.sf << " snr=" << c.snr_db;
+}
+
 class DemodSweep : public ::testing::TestWithParam<DemodCase> {};
 
 TEST_P(DemodSweep, DecodesCleanlyAcrossOffsets) {

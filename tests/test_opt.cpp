@@ -1,12 +1,9 @@
-// Optimization substrate: golden-section search, coordinate descent,
-// Nelder-Mead.
+// Optimization substrate: golden-section search.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "opt/coordinate_descent.hpp"
 #include "opt/golden.hpp"
-#include "opt/nelder_mead.hpp"
 
 namespace choir::opt {
 namespace {
@@ -33,110 +30,6 @@ TEST(Golden, NonSmoothButUnimodal) {
 TEST(Golden, RejectsInvertedBracket) {
   EXPECT_THROW(
       golden_section_minimize([](double x) { return x * x; }, 1.0, -1.0),
-      std::invalid_argument);
-}
-
-TEST(CoordinateDescent, SeparableQuadratic) {
-  CoordinateDescentOptions opt;
-  opt.radius = 2.0;
-  opt.max_cycles = 10;
-  const auto r = coordinate_descent(
-      [](const std::vector<double>& x) {
-        return (x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 2.0) * (x[1] + 2.0);
-      },
-      {0.0, 0.0}, opt);
-  EXPECT_NEAR(r.x[0], 1.0, 1e-3);
-  EXPECT_NEAR(r.x[1], -2.0, 1e-3);
-  EXPECT_GT(r.cycles, 0);
-}
-
-TEST(CoordinateDescent, CoupledQuadraticConverges) {
-  // f = x^2 + y^2 + xy has its minimum at the origin but couples the
-  // coordinates, forcing multiple descent cycles.
-  CoordinateDescentOptions opt;
-  opt.radius = 1.5;
-  opt.max_cycles = 30;
-  opt.tol = 1e-7;
-  const auto r = coordinate_descent(
-      [](const std::vector<double>& x) {
-        return x[0] * x[0] + x[1] * x[1] + x[0] * x[1];
-      },
-      {2.0, -1.5}, opt);
-  EXPECT_NEAR(r.x[0], 0.0, 1e-2);
-  EXPECT_NEAR(r.x[1], 0.0, 1e-2);
-}
-
-TEST(CoordinateDescent, TrustRegionFollowsIterate) {
-  // The minimum lies farther than one radius from the start; the moving
-  // trust region must still reach it.
-  CoordinateDescentOptions opt;
-  opt.radius = 1.0;
-  opt.max_cycles = 20;
-  const auto r = coordinate_descent(
-      [](const std::vector<double>& x) {
-        return (x[0] - 5.0) * (x[0] - 5.0);
-      },
-      {0.0}, opt);
-  EXPECT_NEAR(r.x[0], 5.0, 1e-2);
-}
-
-TEST(CoordinateDescent, RejectsEmptyStart) {
-  CoordinateDescentOptions opt;
-  EXPECT_THROW(
-      coordinate_descent([](const std::vector<double>&) { return 0.0; }, {},
-                         opt),
-      std::invalid_argument);
-}
-
-TEST(MultiStart, EscapesLocalMinimum) {
-  // A double-well: descent from x=+1.2 alone finds the shallow well at
-  // +1.5; multi-start with jitter should locate the deep well at -1.5.
-  auto f = [](const std::vector<double>& x) {
-    const double a = x[0] - 1.5;
-    const double b = x[0] + 1.5;
-    return std::min(a * a, b * b - 0.5);
-  };
-  CoordinateDescentOptions opt;
-  opt.radius = 0.8;
-  opt.max_cycles = 10;
-  Rng rng(3);
-  const auto r = multi_start_descent(f, {1.2}, opt, 12, 3.0, rng);
-  EXPECT_NEAR(r.x[0], -1.5, 0.05);
-}
-
-TEST(NelderMead, RosenbrockValley) {
-  NelderMeadOptions opt;
-  opt.max_iterations = 5000;
-  opt.initial_step = 0.5;
-  opt.tol = 1e-14;
-  const auto r = nelder_mead(
-      [](const std::vector<double>& x) {
-        const double a = 1.0 - x[0];
-        const double b = x[1] - x[0] * x[0];
-        return a * a + 100.0 * b * b;
-      },
-      {-1.0, 1.0}, opt);
-  EXPECT_NEAR(r.x[0], 1.0, 1e-3);
-  EXPECT_NEAR(r.x[1], 1.0, 1e-3);
-}
-
-TEST(NelderMead, HigherDimensionalSphere) {
-  NelderMeadOptions opt;
-  opt.max_iterations = 2000;
-  const auto r = nelder_mead(
-      [](const std::vector<double>& x) {
-        double acc = 0.0;
-        for (double v : x) acc += v * v;
-        return acc;
-      },
-      {1.0, -2.0, 0.5, 3.0}, opt);
-  EXPECT_NEAR(r.fx, 0.0, 1e-6);
-}
-
-TEST(NelderMead, RejectsEmptyStart) {
-  NelderMeadOptions opt;
-  EXPECT_THROW(
-      nelder_mead([](const std::vector<double>&) { return 0.0; }, {}, opt),
       std::invalid_argument);
 }
 
