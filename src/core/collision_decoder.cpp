@@ -377,48 +377,90 @@ std::vector<DecodedUser> CollisionDecoder::decode_once(
 
   std::vector<DecodedUser> out(users.size());
 
-  // Dechirp all data windows once.
+  // Data windows the capture holds (the last may be partial).
   const std::size_t data_start =
       start + static_cast<std::size_t>(phy_.preamble_len + phy_.sfd_len) * n;
-  std::vector<cvec> data_windows;
-  for (std::size_t j = 0; j < opt_.max_data_symbols; ++j) {
-    const std::size_t ws = data_start + j * n;
-    if (ws + n > rx.size() + n / 2) break;
-    cvec w = slice(rx, ws, n);
-    dsp::dechirp(w, downchirp_);
-    data_windows.push_back(std::move(w));
-  }
+  const std::size_t avail =
+      data_start + n > rx.size() + n / 2
+          ? 0
+          : std::min(opt_.max_data_symbols,
+                     (rx.size() + n / 2 - n - data_start) / n + 1);
+  const std::size_t max_peaks = 3 * users.size() + 8;
 
+  // Data windows are dechirped and peak-searched once, on demand: only as
+  // far as the users' headers say their frames extend.
+  std::vector<cvec> data_windows;
   std::vector<std::vector<double>> window_peaks;
-  window_peaks.reserve(data_windows.size());
-  for (const cvec& w : data_windows) {
-    window_peaks.push_back(window_peak_positions(w, 3 * users.size() + 8));
-  }
-  auto extract_all = [&](std::vector<DecodedUser>& dst) {
-    for (DecodedUser& du : dst) du.symbols.clear();
-    std::vector<std::uint32_t> prev;
-    for (std::size_t j = 0; j < data_windows.size(); ++j) {
-      const std::vector<std::uint32_t> syms =
-          extract_window_symbols(data_windows[j], users, window_peaks[j], prev);
-      for (std::size_t u = 0; u < users.size(); ++u)
-        dst[u].symbols.push_back(syms[u]);
+  auto dechirp_through = [&](std::size_t count) {
+    for (std::size_t j = data_windows.size(); j < std::min(count, avail);
+         ++j) {
+      cvec w = slice(rx, data_start + j * n, n);
+      dsp::dechirp(w, downchirp_);
+      window_peaks.push_back(window_peak_positions(w, max_peaks));
+      data_windows.push_back(std::move(w));
     }
   };
-  extract_all(out);
+  // One demodulation pass: the first interleaver block, then through the
+  // largest frame extent any user's header declares. Windows are extracted
+  // in order (the ISI rule looks at the previous window's symbols), so
+  // every symbol equals what a pass over the whole capture would give.
+  auto extract_frame = [&] {
+    for (DecodedUser& du : out) du.symbols.clear();
+    std::vector<std::uint32_t> prev;
+    auto extract_through = [&](std::size_t count) {
+      dechirp_through(count);
+      for (std::size_t j = out[0].symbols.size();
+           j < std::min(count, data_windows.size()); ++j) {
+        const std::vector<std::uint32_t> syms = extract_window_symbols(
+            data_windows[j], users, window_peaks[j], prev);
+        for (std::size_t u = 0; u < users.size(); ++u)
+          out[u].symbols.push_back(syms[u]);
+      }
+    };
+    extract_through(lora::header_symbol_count(phy_));
+    std::size_t extent = 0;
+    for (const DecodedUser& du : out) {
+      extent = std::max(
+          extent, lora::frame_symbols_from_header(du.symbols, phy_)
+                      .value_or(0));
+    }
+    extract_through(extent);
+  };
+  extract_frame();
 
   // Packet-level timing polish: with the pass-1 symbols fixed, each user's
   // tau is refined on the whole packet (the SFD gave only two windows of
-  // evidence), then everything is re-demodulated once.
-  if (opt_.tau_polish && !data_windows.empty()) {
+  // evidence), then everything is re-demodulated once. The polish samples
+  // every stride-th buffered window; sampled windows past the frame are
+  // demodulated on their own.
+  if (opt_.tau_polish && avail > 0) {
+    struct Sample {
+      cvec window;
+      std::vector<std::uint32_t> symbols;  // per user
+    };
+    std::vector<Sample> samples;
+    const std::size_t stride = std::max<std::size_t>(1, avail / 8);
+    const std::size_t in_frame = out[0].symbols.size();
+    for (std::size_t j = 0; j < avail; j += stride) {
+      Sample s;
+      if (j < in_frame) {
+        s.window = data_windows[j];
+        for (const DecodedUser& du : out) s.symbols.push_back(du.symbols[j]);
+      } else {
+        s.window = slice(rx, data_start + j * n, n);
+        dsp::dechirp(s.window, downchirp_);
+        std::vector<std::uint32_t> prev;
+        s.symbols = extract_window_symbols(
+            s.window, users, window_peak_positions(s.window, max_peaks), prev);
+      }
+      samples.push_back(std::move(s));
+    }
     for (std::size_t u = 0; u < users.size(); ++u) {
-      const std::size_t stride =
-          std::max<std::size_t>(1, data_windows.size() / 8);
       auto objective = [&](double tau) {
         double acc = 0.0;
-        for (std::size_t j = 0; j < data_windows.size(); j += stride) {
-          acc += std::abs(dsp::fold_corr(data_windows[j],
-                                         users[u].offset_bins, tau,
-                                         out[u].symbols[j]));
+        for (const Sample& s : samples) {
+          acc += std::abs(dsp::fold_corr(s.window, users[u].offset_bins, tau,
+                                         s.symbols[u]));
         }
         return -acc;
       };
@@ -428,7 +470,7 @@ std::vector<DecodedUser> CollisionDecoder::decode_once(
       users[u].timing_samples = g.x;
       users[u].cfo_bins = users[u].offset_bins + g.x;
     }
-    extract_all(out);
+    extract_frame();
   }
   for (std::size_t u = 0; u < users.size(); ++u) out[u].est = users[u];
 

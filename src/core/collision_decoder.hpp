@@ -8,11 +8,12 @@
 //      estimation that subsumes the phased SIC of Sec. 5.2),
 //   2. splits each aggregate offset into CFO and timing via the SFD
 //      down-chirps and validates the pairing on early data windows,
-//   3. demodulates every data window with per-user fold-aware matched
-//      templates and in-window successive cancellation; the *fractional*
-//      offsets keep peaks attributable to users (the key insight of
-//      Sec. 4: data shifts peaks by integers, hardware offsets by
-//      fractions),
+//   3. demodulates the frame's data windows (the first interleaver block,
+//      then as far as the longest length header among the users declares)
+//      with per-user fold-aware matched templates and in-window successive
+//      cancellation; the *fractional* offsets keep peaks attributable to
+//      users (the key insight of Sec. 4: data shifts peaks by integers,
+//      hardware offsets by fractions),
 //   4. de-duplicates values split across adjacent windows by sub-symbol
 //      timing offsets (inter-symbol interference, Sec. 6.1, Fig 5),
 //   5. runs packet-level SIC: CRC-clean users are reconstructed over their
@@ -36,7 +37,9 @@ namespace choir::core {
 
 struct DecodedUser {
   UserEstimate est;
-  std::vector<std::uint32_t> symbols;   ///< demodulated data symbols
+  /// Demodulated data symbols through the frame's extent: the longest
+  /// length header among the users decoded with this one.
+  std::vector<std::uint32_t> symbols;
   std::vector<std::uint8_t> payload;    ///< parsed payload (if frame_ok)
   bool frame_ok = false;                ///< frame structure parsed
   bool crc_ok = false;                  ///< payload CRC passed

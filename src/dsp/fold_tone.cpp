@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dsp/simd/simd.hpp"
+#include "dsp/workspace.hpp"
 
 namespace choir::dsp {
 
@@ -146,9 +147,25 @@ FoldArgmax fold_argmax_candidates(
     const cvec& dechirped, double lambda, double tau,
     const std::vector<std::uint32_t>& candidates) {
   if (candidates.empty()) return fold_argmax(dechirped, lambda, tau);
+  // Peak-derived shortlists repeat values (neighbouring peaks share their
+  // +-1 bins). Correlate each distinct value once, but still feed the
+  // tracker every entry in order, so the result is unchanged.
+  auto& pool = DspWorkspace::tls();
+  auto seen = pool.ubuf(0);
+  auto seen_score = pool.rbuf(0);
   ArgmaxTracker t{dechirped.size()};
-  for (std::uint32_t d : candidates)
-    t.consider(d, std::abs(fold_corr(dechirped, lambda, tau, d)));
+  for (std::uint32_t d : candidates) {
+    const auto it = std::find(seen->begin(), seen->end(), d);
+    if (it != seen->end()) {
+      t.consider(d, (*seen_score)[static_cast<std::size_t>(
+                        it - seen->begin())]);
+      continue;
+    }
+    const double score = std::abs(fold_corr(dechirped, lambda, tau, d));
+    seen->push_back(d);
+    seen_score->push_back(score);
+    t.consider(d, score);
+  }
   return t.finish(dechirped, lambda, tau);
 }
 

@@ -167,18 +167,24 @@ DemodResult Demodulator::demodulate_at(const cvec& rx,
   }
   res.timing_samples = tau;
 
-  // Demodulate data symbols until the capture runs out.
+  // Demodulate the first interleaver block, then through the length its
+  // header declares (or until the capture runs out). Each window is
+  // demodulated on its own, so stopping at the frame's end changes nothing
+  // the parser reads.
   const std::size_t data_start =
       start + static_cast<std::size_t>(phy_.preamble_len + phy_.sfd_len) * n;
-  const std::size_t max_syms = frame_symbol_count(kMaxPayloadBytes, phy_);
   auto win = dsp::DspWorkspace::tls().cbuf(n);
-  for (std::size_t j = 0; j < max_syms; ++j) {
-    const std::size_t ws = data_start + j * n;
-    if (ws + n > rx.size() + n / 2) break;  // allow a final partial window
-    dsp::dechirp_window_into(rx, ws, downchirp_, *win);
-    const dsp::FoldArgmax r = dsp::fold_argmax(*win, lambda, tau);
-    res.raw_symbols.push_back(r.symbol);
-  }
+  const auto demod_through = [&](std::size_t count) {
+    for (std::size_t j = res.raw_symbols.size(); j < count; ++j) {
+      const std::size_t ws = data_start + j * n;
+      if (ws + n > rx.size() + n / 2) return;  // allow a final partial window
+      dsp::dechirp_window_into(rx, ws, downchirp_, *win);
+      res.raw_symbols.push_back(dsp::fold_argmax(*win, lambda, tau).symbol);
+    }
+  };
+  demod_through(header_symbol_count(phy_));
+  if (const auto syms = frame_symbols_from_header(res.raw_symbols, phy_))
+    demod_through(*syms);
 
   const auto parsed = parse_frame_symbols(res.raw_symbols, phy_);
   if (parsed) {
@@ -264,12 +270,10 @@ std::optional<std::size_t> Demodulator::detect_preamble(
   return std::nullopt;
 }
 
-DemodResult Demodulator::demodulate(const cvec& rx, std::size_t from) const {
+std::optional<std::size_t> Demodulator::locate(const cvec& rx,
+                                               std::size_t from) const {
   const auto coarse = detect_preamble(rx, from);
-  if (!coarse) {
-    DemodResult res;
-    return res;
-  }
+  if (!coarse) return std::nullopt;
   const std::size_t n = phy_.chips();
   // Refine alignment: search candidate starts on an N/8 grid around the
   // coarse estimate; aligned preamble windows maximize the dechirped peak
@@ -321,11 +325,13 @@ DemodResult Demodulator::demodulate(const cvec& rx, std::size_t from) const {
       best_start = start;
     }
   }
-  if (best_score < 0.0) {
-    DemodResult res;
-    return res;
-  }
-  return demodulate_at(rx, best_start);
+  if (best_score < 0.0) return std::nullopt;
+  return best_start;
+}
+
+DemodResult Demodulator::demodulate(const cvec& rx, std::size_t from) const {
+  const auto start = locate(rx, from);
+  return start ? demodulate_at(rx, *start) : DemodResult{};
 }
 
 }  // namespace choir::lora

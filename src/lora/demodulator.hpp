@@ -48,11 +48,18 @@ class Demodulator {
 
   const PhyParams& phy() const { return phy_; }
 
-  /// Detects the first frame at or after `from` and demodulates it.
+  /// Detects the first frame at or after `from` and demodulates it:
+  /// locate() then demodulate_at().
   DemodResult demodulate(const cvec& rx, std::size_t from = 0) const;
 
+  /// Detects the first frame at or after `from` and aligns it on its SFD
+  /// without demodulating: returns the sample index of its first preamble
+  /// chirp (demodulate().frame_start), or nullopt when nothing is found.
+  std::optional<std::size_t> locate(const cvec& rx, std::size_t from) const;
+
   /// Demodulates a frame whose preamble is known to start at `start`
-  /// (within about an eighth of a symbol). Skips detection.
+  /// (within about an eighth of a symbol). Skips detection. Stops at the
+  /// frame length its header declares.
   DemodResult demodulate_at(const cvec& rx, std::size_t start) const;
 
   /// Preamble search: returns the approximate sample index of the start of

@@ -94,7 +94,7 @@ struct UdpIngestOptions {
   /// Answer every datagram with a CHOA ack (see above).
   bool send_acks = false;
   /// Role source for acks; default answers {kAckActive, 0}.
-  AckRoleFn ack_role;
+  AckRoleFn ack_role{};
 };
 
 /// Receive loop feeding a NetServer (the network-server side).

@@ -138,12 +138,10 @@ void StreamingReceiver::scan(bool at_end) {
     // Refine alignment with the single-user pipeline (it knows how to line
     // up the SFD), then hand the anchor to the collision decoder so *all*
     // users in the pile-up are recovered.
-    const auto aligned = [&] {
+    const std::size_t anchor = [&] {
       CHOIR_OBS_TRACE_SPAN(trace, "rt.align");
-      return detector_.demodulate(buffer_, start);
+      return detector_.locate(buffer_, start).value_or(*found);
     }();
-    const std::size_t anchor =
-        aligned.detected ? aligned.frame_start : *found;
     core::DecodeDiag diag;
     obs::Clock::time_point decode_t0{};
     if constexpr (obs::kEnabled) decode_t0 = obs::Clock::now();

@@ -244,6 +244,38 @@ TEST(CollisionDecoder, LargeTimingOffsetsStillDecode) {
   EXPECT_GE(delivered, 1);
 }
 
+TEST(CollisionDecoder, NoiseTailPastTheFrameChangesNothing) {
+  Rng rng(71);
+  const auto osc = quiet_osc();
+  const auto txs = make_txs(1, 15.0, 15.0, rng, osc);
+  channel::RenderOptions ropt;
+  ropt.osc = osc;
+  const auto cap = render_collision(txs, ropt, rng);
+  cvec tailed = cap.samples;
+  Rng noise_rng(73);
+  for (std::size_t i = 0; i < 400 * test_phy().chips(); ++i)
+    tailed.push_back(noise_rng.cgaussian(1.0));
+
+  CollisionDecoder dec(test_phy());
+  const auto find = [&](const std::vector<DecodedUser>& users) {
+    const DecodedUser* hit = nullptr;
+    for (const auto& du : users)
+      if (du.crc_ok && du.payload == txs[0].payload) hit = &du;
+    return hit;
+  };
+  const auto plain = dec.decode(cap.samples, 0);
+  const auto with_tail = dec.decode(tailed, 0);
+  const DecodedUser* a = find(plain);
+  const DecodedUser* b = find(with_tail);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  // Only the frame's windows are demodulated, however long the capture.
+  const std::size_t frame_syms =
+      lora::frame_symbol_count(txs[0].payload.size(), test_phy());
+  EXPECT_EQ(a->symbols.size(), frame_syms);
+  EXPECT_EQ(b->symbols.size(), frame_syms);
+}
+
 // ------------------------------------------------------------ UserTracker
 
 TEST(Tracker, ClustersPeaksIntoDistinctUsersByFraction) {

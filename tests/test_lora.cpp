@@ -85,6 +85,33 @@ TEST(Frame, TooFewSymbolsReturnsNull) {
   EXPECT_FALSE(parse_frame_symbols(tiny, phy).has_value());
 }
 
+TEST(Frame, HeaderDeclaresTheFrameSymbolCount) {
+  Rng rng(4);
+  for (int sf = 6; sf <= 12; ++sf) {
+    for (int cr = 1; cr <= 4; ++cr) {
+      PhyParams phy;
+      phy.sf = sf;
+      phy.cr = cr;
+      const auto block =
+          static_cast<std::ptrdiff_t>(header_symbol_count(phy));
+      for (std::size_t len = 0; len <= kMaxPayloadBytes; ++len) {
+        const auto symbols = build_frame_symbols(random_payload(len, rng), phy);
+        // The first interleaver block alone carries the length.
+        const std::vector<std::uint32_t> header(symbols.begin(),
+                                                symbols.begin() + block);
+        const auto count = frame_symbols_from_header(header, phy);
+        ASSERT_TRUE(count.has_value());
+        EXPECT_EQ(*count, frame_symbol_count(len, phy))
+            << "sf=" << sf << " cr=" << cr << " len=" << len;
+        EXPECT_EQ(frame_symbols_from_header(symbols, phy), count);
+      }
+      EXPECT_FALSE(frame_symbols_from_header(
+                       std::vector<std::uint32_t>(block - 1, 0), phy)
+                       .has_value());
+    }
+  }
+}
+
 TEST(Frame, AirtimeAccounting) {
   PhyParams phy;
   phy.sf = 7;
@@ -165,6 +192,34 @@ TEST_P(DemodSweep, DecodesCleanlyAcrossOffsets) {
   EXPECT_GE(ok, trials - 1) << "sf=" << sf << " snr=" << snr;
 }
 
+TEST_P(DemodSweep, LocateFindsTheFrameDemodulateDecodes) {
+  const auto [sf, snr] = GetParam();
+  PhyParams phy;
+  phy.sf = sf;
+  Rng rng(static_cast<std::uint64_t>(sf * 37 + static_cast<int>(snr)));
+  channel::OscillatorModel osc;
+  osc.cfo_drift_hz_per_symbol = 0.0;
+  Demodulator demod(phy);
+  for (int t = 0; t < 4; ++t) {
+    channel::TxInstance tx;
+    tx.phy = phy;
+    tx.payload = random_payload(10, rng);
+    tx.hw = channel::DeviceHardware::sample(osc, rng);
+    tx.snr_db = snr;
+    tx.fading.kind = channel::FadingKind::kNone;
+    tx.extra_delay_s = 3.5 * phy.symbol_duration_s();
+    channel::RenderOptions ropt;
+    ropt.osc = osc;
+    const auto cap = channel::render_collision({tx}, ropt, rng);
+    const DemodResult res = demod.demodulate(cap.samples);
+    const auto at = demod.locate(cap.samples, 0);
+    ASSERT_EQ(at.has_value(), res.detected) << "trial " << t;
+    if (at) {
+      EXPECT_EQ(*at, res.frame_start) << "trial " << t;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, DemodSweep,
     ::testing::Values(DemodCase{7, 10.0}, DemodCase{7, 0.0},
@@ -233,6 +288,32 @@ TEST(Demod, NoiseOnlyCaptureDetectsNothing) {
   Demodulator demod(phy);
   const auto res = demod.demodulate(noise);
   EXPECT_FALSE(res.detected);
+  EXPECT_FALSE(demod.locate(noise, 0).has_value());
+}
+
+TEST(Demod, StopsAtTheLengthTheHeaderDeclares) {
+  PhyParams phy;
+  phy.sf = 8;
+  Rng rng(19);
+  channel::OscillatorModel osc;
+  osc.cfo_drift_hz_per_symbol = 0.0;
+  channel::TxInstance tx;
+  tx.phy = phy;
+  tx.payload = random_payload(6, rng);
+  tx.hw = channel::DeviceHardware::sample(osc, rng);
+  tx.snr_db = 15.0;
+  tx.fading.kind = channel::FadingKind::kNone;
+  channel::RenderOptions ropt;
+  ropt.osc = osc;
+  ropt.tail_s = 100 * phy.symbol_duration_s();
+  const auto cap = channel::render_collision({tx}, ropt, rng);
+  Demodulator demod(phy);
+  const auto res = demod.demodulate_at(
+      cap.samples,
+      static_cast<std::size_t>(std::llround(cap.users[0].delay_samples)));
+  EXPECT_TRUE(res.crc_ok);
+  EXPECT_EQ(res.payload, tx.payload);
+  EXPECT_EQ(res.raw_symbols.size(), frame_symbol_count(6, phy));
 }
 
 }  // namespace

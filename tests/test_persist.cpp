@@ -243,6 +243,9 @@ void expect_record_eq(const JournalRecord& a, const JournalRecord& b) {
     case RecordType::kRoster:
       EXPECT_EQ(a.roster_version, b.roster_version);
       break;
+    case RecordType::kEpoch:
+      EXPECT_EQ(a.epoch, b.epoch);
+      break;
   }
 }
 

@@ -97,7 +97,9 @@ TEST(BoundedQueueStress, DropNewestAccountsForEveryItem) {
   while (auto item = q.pop()) {
     // Dropping the newest keeps the survivors a strictly increasing
     // subsequence of the produced sequence.
-    if (!first) ASSERT_GT(*item, last) << "reordered under kDropNewest";
+    if (!first) {
+      ASSERT_GT(*item, last) << "reordered under kDropNewest";
+    }
     last = *item;
     first = false;
     ++popped;
